@@ -8,8 +8,8 @@ syscall cost model bounds a member's service capacity (a call costs
 ~15 ms of server CPU), so latency should stay flat well below saturation
 and grow sharply near it.
 
-The sweep is overridable from the environment so the sharded capacity
-driver (``repro shard``) and ad-hoc runs can reuse it at other scales:
+The sweep is overridable from the environment so ad-hoc runs can reuse
+it at other scales:
 
 - ``REPRO_CAPACITY_RATES``  — comma-separated offered loads (calls/s);
 - ``REPRO_CAPACITY_CALLS``  — calls per rate (default 120: enough

@@ -220,49 +220,6 @@ def test_observability_work_is_deterministic_and_budgeted():
     assert aux["history_ratio"] < 1.5
 
 
-def test_sharded_exchange_is_deterministic_and_gated():
-    """The sharded-simulation table: 1, 2 and 4 shard kernels must
-    produce byte-identical packet digests, identical completed calls,
-    and identical wire traffic on the same seed — determinism is the
-    acceptance criterion, the cross-shard columns document the exchange
-    cost the lookahead protocol pays for it.
-    """
-    table, aux = gated.sharded_exchange_table()
-    rows, again = aux["rows"], aux["again"]
-    assert rows[2] == again, "sharded exchange must be deterministic"
-    register_table(table)
-
-    reference = rows[1]["digest"]
-    for shards, metrics in rows.items():
-        assert metrics["digest"] == reference, (
-            "shards=%d diverged from the single-process run" % shards)
-        assert metrics["calls"] == rows[1]["calls"] > 0
-        assert metrics["windows"] == rows[1]["windows"]
-    # The partition must actually be exercised: traffic crosses shard
-    # boundaries when there is more than one shard, never with one.
-    assert rows[1]["cross_shard_per_call"] == 0.0
-    assert rows[2]["cross_shard_per_call"] > 0.0
-    assert rows[4]["cross_shard_per_call"] > rows[2]["cross_shard_per_call"]
-
-
-def test_sharded_speedup_curve():
-    """The informational wall-clock speedup curve on the 1000-host
-    world.  Only the deterministic columns (calls, p99) are asserted
-    and gated; the speedup itself scales with the runner's core count
-    and is recorded, not asserted.
-    """
-    table, aux = gated.sharded_speedup_table()
-    rows = aux["rows"]
-    register_table(table)
-
-    reference = rows[1]["digest"]
-    for metrics in rows.values():
-        assert metrics["digest"] == reference
-        assert metrics["calls"] == rows[1]["calls"] > 0
-        assert metrics["p99_ms"] == rows[1]["p99_ms"]
-        assert metrics["calls_per_sec"] > 0
-
-
 def test_elastic_grow_shrink_is_deterministic_and_gated():
     """The elastic grow-shrink table: the autoscaled §6.4.2 availability
     experiment must land the same calls, the same membership churn, and

@@ -183,67 +183,6 @@ def observability_table(iterations: int = 200,
                    "ratio": ratio, "history_ratio": history_ratio}
 
 
-def sharded_exchange_table() -> Tuple[Table, Dict]:
-    """The sharded-simulation determinism table: the same capacity
-    workload driven through 1, 2 and 4 shard kernels must complete the
-    same calls with the same wire traffic and a byte-identical packet
-    digest — the whole contract of :mod:`repro.sim.sharded`."""
-    rows = {shards: perf.sharded_exchange_metrics(shards)
-            for shards in (1, 2, 4)}
-    again = perf.sharded_exchange_metrics(2)
-    reference = rows[1]["digest"]
-    table = Table(
-        "Sharded simulation: conservative cross-shard exchange "
-        "(deterministic)",
-        ["configuration", "calls", "packets/call", "cross-shard/call",
-         "sync windows", "digest == 1-shard"],
-        formats=[None, None, "%.2f", "%.2f", None, None],
-        notes="12-host capacity workload (4 cells x 3-member echo "
-              "troupes, 24 Zipf/Pareto sessions) partitioned across "
-              "shard kernels with conservative lookahead on the link "
-              "latency.  Every column is deterministic and CI-gated at "
-              "5%; the digest flag is the byte-identical-behaviour "
-              "contract (canonical multiset digest over net.* events).")
-    for shards, metrics in rows.items():
-        table.add_row("shards-%d" % shards, metrics["calls"],
-                      metrics["packets_per_call"],
-                      metrics["cross_shard_per_call"], metrics["windows"],
-                      1 if metrics["digest"] == reference else 0)
-    return table, {"rows": rows, "again": again, "reference": reference}
-
-
-def sharded_speedup_table() -> Tuple[Table, Dict]:
-    """The sharded wall-clock table: calls/sec of real time vs shard
-    count on a 1000-host world.  calls and p99 are deterministic and
-    gated; the wall-clock columns are machine-dependent (they scale with
-    the runner's core count — a single core cannot speed up) and ride
-    informationally via ``gate_columns``."""
-    rows = {}
-    for shards in (1, 2, 4):
-        rows[shards] = perf.sharded_wallclock_metrics(shards)
-    base = rows[1]["calls_per_sec"] or 1.0
-    table = Table(
-        "Sharded simulation wall-clock speedup (1000-host capacity "
-        "workload)",
-        ["configuration", "calls", "p99 ms", "wall s",
-         "calls/sec (wall)", "speedup x"],
-        formats=[None, None, "%.1f", "%.2f", "%.1f", "%.2f"],
-        gate_columns=["calls", "p99 ms"],
-        notes="1000 hosts in 250 cells (one 3-member troupe each), 1500 "
-              "heavy-tailed Zipf sessions; shards-2/4 run one forked OS "
-              "process per shard.  calls and p99 are deterministic and "
-              "CI-gated at 5% (virtual time never depends on the shard "
-              "count); wall columns are informational and scale with "
-              "cores — expect >= 2x at 4 shards on a >= 4-core runner, "
-              "and ~1/shards on a single core.")
-    for shards, metrics in rows.items():
-        table.add_row("shards-%d" % shards, metrics["calls"],
-                      metrics["p99_ms"], metrics["wall_seconds"],
-                      metrics["calls_per_sec"],
-                      metrics["calls_per_sec"] / base)
-    return table, {"rows": rows}
-
-
 def elastic_table() -> Tuple[Table, Dict]:
     """The elastic grow-shrink table: the §6.4.2 availability experiment
     with the autoscaler reconfiguring the troupe through the §6.4.1
@@ -278,14 +217,11 @@ GATED_BUILDERS = (
     delayed_ack_table,
     zero_copy_table,
     observability_table,
-    sharded_exchange_table,
-    sharded_speedup_table,
     elastic_table,
 )
 
 #: builders with a fixed workload (no iterations knob).
-_FIXED_WORKLOAD_BUILDERS = (delayed_ack_table, sharded_exchange_table,
-                            sharded_speedup_table, elastic_table)
+_FIXED_WORKLOAD_BUILDERS = (delayed_ack_table, elastic_table)
 
 
 def all_gated_tables(iterations: int = 200) -> List[Table]:

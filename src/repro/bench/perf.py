@@ -575,81 +575,6 @@ def dispatch_metrics(iterations: int = 200) -> Dict[str, float]:
     }
 
 
-# ---------------------------------------------------------------------------
-# sharded simulation metrics
-# ---------------------------------------------------------------------------
-
-#: the deterministic sharded-exchange reference workload: 12 hosts in 4
-#: cells (one 3-member echo troupe each), 24 Zipf/Pareto client sessions.
-SHARDED_WORKLOAD = dict(machines=12, cells=4, sessions=24,
-                        calls_per_session=3, rate=40.0, seed=7,
-                        horizon=3000.0)
-
-
-def _sharded_builder(spec):
-    from repro.bench.workloads import capacity_builder
-
-    return capacity_builder(
-        cells=spec["cells"], sessions=spec["sessions"],
-        calls_per_session=spec["calls_per_session"], rate=spec["rate"],
-        seed=spec["seed"])
-
-
-def sharded_exchange_metrics(shards: int, spec=None) -> Dict[str, float]:
-    """Deterministic cross-shard exchange counters on the capacity
-    workload: completed calls, wire packets and cross-shard envelopes
-    per call, synchronization windows, and the canonical packet digest.
-    Identical on every machine; the digest must match the 1-shard row
-    (the byte-identical-behaviour contract of repro.sim.sharded)."""
-    from repro.sim.sharded import run_sharded
-
-    spec = spec or SHARDED_WORKLOAD
-    result = run_sharded(_sharded_builder(spec), machines=spec["machines"],
-                         shards=shards, seed=spec["seed"],
-                         horizon=spec["horizon"])
-    calls = result.counters.get("calls_completed", 0) or 1
-    return {
-        "calls": result.counters.get("calls_completed", 0),
-        "packets_per_call": result.network["packets_sent"] / calls,
-        "cross_shard_per_call": result.cross_shard_messages / calls,
-        "windows": result.windows,
-        "digest": result.digest,
-    }
-
-
-#: the wall-clock speedup workload: a 1000-host world (250 cells, one
-#: 3-member troupe each) under 1500 heavy-tailed Zipf sessions.
-SHARDED_SPEEDUP_WORKLOAD = dict(machines=1000, cells=250, sessions=1500,
-                                calls_per_session=2, rate=20.0, seed=7,
-                                horizon=1200.0)
-
-
-def sharded_wallclock_metrics(shards: int, spec=None,
-                              mode: str = "process") -> Dict[str, float]:
-    """Wall-clock throughput of the sharded driver (machine-dependent,
-    informational): completed calls/sec of real time and p99 latency on
-    the 1000-host capacity workload.  ``calls`` and ``p99_ms`` are
-    deterministic; ``wall_seconds``/``calls_per_sec`` scale with the
-    host's core count (1 core cannot speed up, by construction)."""
-    from repro.sim.sharded import run_sharded
-
-    spec = spec or SHARDED_SPEEDUP_WORKLOAD
-    result = run_sharded(_sharded_builder(spec), machines=spec["machines"],
-                         shards=shards, seed=spec["seed"],
-                         horizon=spec["horizon"],
-                         mode=mode if shards > 1 else "inproc")
-    calls = result.counters.get("calls_completed", 0)
-    wall = result.wall_seconds or 1e-9
-    return {
-        "calls": calls,
-        "wall_seconds": wall,
-        "calls_per_sec": calls / wall,
-        "p99_ms": result.percentile("latency_ms", 0.99),
-        "digest": result.digest,
-        "mode": result.mode,
-    }
-
-
 #: the elastic grow-shrink workload: a 4-machine member pool under the
 #: §6.4.2 exponential churn, autoscaler keeping the troupe populated.
 ELASTIC_WORKLOAD = dict(seed=3, pool=4, duration=12000.0,

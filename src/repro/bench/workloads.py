@@ -10,30 +10,24 @@ module provides both:
   heavy-tailed Pareto interarrivals) at a configurable offered load,
   each call in its own thread (measures queueing behaviour);
 - :func:`run_load_sweep` — throughput and latency of a troupe across a
-  range of offered loads;
-- :func:`capacity_builder` — the sharded capacity workload: machine
-  cells each hosting an echo troupe, client sessions with Zipf key
-  popularity and heavy-tailed arrivals, ownership-gated so the same
-  builder drives every shard of a :func:`repro.sim.sharded.run_sharded`
-  world (and its single-process reference) identically.
+  range of offered loads.
 
-All randomness is drawn from seed-derived :class:`RandomStream`\\ s —
-per session, never shared — so traffic patterns are deterministic and
-independent of shard layout.
+All randomness is drawn from seed-derived :class:`RandomStream`\\ s, so
+traffic patterns are deterministic.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import List, Optional
+from typing import List
 
-from repro.core.runtime import ExportedModule, RuntimeConfig, TroupeRuntime
+from repro.core.runtime import ExportedModule, RuntimeConfig
 from repro.core.troupe import TroupeDescriptor
 from repro.harness import World
 from repro.pairedmsg.endpoint import PairedMessageConfig
 from repro.rpc.threads import ThreadId
-from repro.sim.kernel import Simulator, Sleep
+from repro.sim.kernel import Sleep
 from repro.sim.rng import RandomStream
 
 
@@ -256,107 +250,3 @@ def run_load_sweep(rates: List[float], degree: int = 3,
                                       pareto_alpha=pareto_alpha)
         results.append(generator.run())
     return results
-
-
-# ---------------------------------------------------------------------------
-# the sharded capacity workload
-# ---------------------------------------------------------------------------
-
-def capacity_builder(*, cells: int, sessions: int,
-                     calls_per_session: int = 4, rate: float = 20.0,
-                     degree: int = 3, arrival: str = "pareto",
-                     pareto_alpha: float = 1.5, zipf_s: float = 1.1,
-                     service_ms: float = 2.0, payload: bytes = b"w",
-                     seed: int = 0):
-    """A ``builder(world)`` for :func:`repro.sim.sharded.run_sharded`.
-
-    The world's machines split into ``cells`` equal contiguous blocks;
-    each cell hosts one ``degree``-member echo troupe on its first
-    machines.  ``sessions`` client sessions are laid out round-robin
-    over all machines; each session issues ``calls_per_session``
-    sequential calls, picking a target cell by Zipf(``zipf_s``)
-    popularity and sleeping a seed-derived heavy-tailed gap between
-    calls — open-loop across sessions, closed within one.
-
-    Everything the builder does is a pure function of the world's
-    machine list and ``seed``: troupes and the registry are built in
-    every shard identically (ghost replicas are inert), while sessions
-    are ownership-gated so each runs on exactly one shard.  Traffic is
-    therefore byte-identical for any shard count; when shard boundaries
-    align with cell boundaries, the Zipf-popular cells keep most of it
-    intra-shard."""
-    if cells < 1:
-        raise ValueError("need at least one cell")
-
-    # Queueing near saturation must read as latency, not as member
-    # death: the same load-tolerant paired-message profile the load
-    # sweep uses (retransmits and crash verdicts far beyond the knee).
-    tolerant = RuntimeConfig(
-        execution="parallel",
-        paired=PairedMessageConfig(retransmit_interval=800.0,
-                                   probe_interval=2000.0,
-                                   crash_timeout=20000.0))
-
-    def builder(world: World) -> None:
-        names = [m.name for m in world.machines]
-        if len(names) % cells:
-            raise ValueError("%d machines do not split into %d cells"
-                             % (len(names), cells))
-        cell_size = len(names) // cells
-        if degree > cell_size:
-            raise ValueError("cell size %d cannot host a %d-member troupe"
-                             % (cell_size, degree))
-
-        def factory():
-            def serve(ctx, args):
-                yield from ctx.compute(service_ms)
-                return b"ok"
-            return ExportedModule("cell-echo", {0: serve})
-
-        # Troupes first — in every shard, in the same order, so ports,
-        # addresses and troupe IDs agree replica-for-replica.
-        troupes = []
-        for cell in range(cells):
-            block = names[cell * cell_size:(cell + 1) * cell_size]
-            troupe, _ = world.make_troupe("cell-%d" % cell, factory,
-                                          degree=degree,
-                                          on_machines=block[:degree],
-                                          runtime_config=tolerant)
-            troupes.append(troupe)
-        zipf = ZipfSampler(cells, zipf_s)
-        world.counters.setdefault("calls_completed", 0)
-        world.counters.setdefault("calls_issued", 0)
-        world.samples.setdefault("latency_ms", [])
-
-        def session(index: int, home: str):
-            client = world.make_client(home, runtime_config=tolerant)
-            rng = RandomStream(seed, "session-%d" % index)
-
-            def body():
-                # Stagger the start so a million sessions do not arrive
-                # as one t=0 batch.
-                yield Sleep(rng.uniform(0.0, 1000.0 / rate))
-                for call in range(calls_per_session):
-                    cell = zipf.sample(rng)
-                    world.counters["calls_issued"] += 1
-                    start = world.sim.now
-                    yield from client.call_troupe(
-                        troupes[cell], 0, 0, payload,
-                        thread_id=ThreadId("sess-%d" % index, call))
-                    world.samples["latency_ms"].append(
-                        world.sim.now - start)
-                    world.counters["calls_completed"] += 1
-                    yield Sleep(interarrival_ms(arrival, rng, rate,
-                                                pareto_alpha))
-            return body()
-
-        # Sessions after every troupe exists; creation order within one
-        # home machine is the same subsequence on its owning shard as in
-        # the single-process run, so client ports agree too.
-        for index in range(sessions):
-            home = names[index % len(names)]
-            if not world.owns(home):
-                continue
-            world.spawn(session(index, home), name="sess-%d" % index)
-
-    return builder

@@ -443,67 +443,6 @@ def _check_scenario_name(target: str) -> str:
     return name
 
 
-def cmd_shard(args) -> int:
-    """Run the capacity workload across shard kernels and report the
-    merged, deterministic result; with ``--reference`` verify the
-    byte-identical-digest contract against the 1-shard run.  The
-    ``--json`` payload contains only deterministic fields, so two runs
-    of the same seed must serialize identically (the CI shard-smoke
-    job ``cmp``'s them)."""
-    from repro.bench.workloads import capacity_builder
-    from repro.sim.sharded import run_sharded
-
-    builder = capacity_builder(
-        cells=args.cells, sessions=args.sessions,
-        calls_per_session=args.calls, rate=args.rate,
-        degree=args.degree, arrival=args.arrival, seed=args.seed)
-    result = run_sharded(builder, machines=args.machines,
-                         shards=args.shards, seed=args.seed,
-                         horizon=args.horizon, mode=args.mode)
-    status = 0
-    payload = result.to_json_dict()
-    if args.reference:
-        reference = run_sharded(builder, machines=args.machines, shards=1,
-                                seed=args.seed, horizon=args.horizon)
-        payload["reference_digest"] = reference.digest
-        payload["digest_matches_reference"] = \
-            result.digest == reference.digest
-        if not payload["digest_matches_reference"]:
-            status = 1
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        calls = result.counters.get("calls_completed", 0)
-        wall = result.wall_seconds or 1e-9
-        print("shards-%d (%s): %d calls to t=%.0f ms in %.2f s wall "
-              "(%.0f calls/sec)"
-              % (result.shards, result.mode, calls, result.horizon,
-                 result.wall_seconds, calls / wall))
-        print("  digest          %s" % result.digest)
-        print("  net events      %d   sync windows %d" %
-              (result.events, result.windows))
-        print("  cross-shard     %d envelopes (%.2f/call)"
-              % (result.cross_shard_messages,
-                 result.cross_shard_messages / calls if calls else 0.0))
-        print("  packets         sent %d  delivered %d  dropped %d"
-              % (result.network["packets_sent"],
-                 result.network["packets_delivered"],
-                 result.network["packets_dropped"]))
-        if result.samples.get("latency_ms"):
-            print("  latency ms      mean %.1f  p90 %.1f  p99 %.1f"
-                  % (sum(result.samples["latency_ms"])
-                     / len(result.samples["latency_ms"]),
-                     result.percentile("latency_ms", 0.9),
-                     result.percentile("latency_ms", 0.99)))
-        if args.reference:
-            print("  reference       digest %s (%s)"
-                  % (payload["reference_digest"],
-                     "MATCH" if payload["digest_matches_reference"]
-                     else "MISMATCH"))
-    return status
-
-
 def cmd_elastic(args) -> int:
     """Run the §6.4.2 availability experiment under the autoscaler and
     report measured vs predicted (M/M/n/n) availability.  The ``--json``
@@ -559,14 +498,12 @@ def cmd_perf(args) -> int:
     ``--profile PATH`` additionally runs the circus workload under
     cProfile and writes a pstats dump for ``snakeviz``/``pstats``.
     """
-    from repro import accel
     from repro.bench import perf
 
     if getattr(args, "compare", None) is not None:
         from repro.bench import gated
         from repro.bench.compare import (index_payload, load_tables,
                                          run_compare)
-        print("build: %s" % accel.describe())
         print("rebuilding the %d gated tables (iterations=%d)..."
               % (len(gated.GATED_BUILDERS), args.iterations))
         tables = gated.all_gated_tables(iterations=args.iterations)
@@ -657,11 +594,9 @@ def cmd_perf(args) -> int:
     if getattr(args, "json", False):
         from repro.obs.export import SCHEMA_VERSION
         print(json.dumps({"schema_version": SCHEMA_VERSION,
-                          "build": accel.status(),
                           "tables": [t.to_dict() for t in tables]},
                          indent=2, sort_keys=True))
     else:
-        print("build: %s" % accel.describe())
         for table in tables:
             print(table.render())
 
@@ -1023,46 +958,6 @@ def main(argv=None) -> int:
     perf_cmd.add_argument("--threshold", type=float, default=5.0,
                           help="--compare gate threshold percent "
                                "(default 5, matching CI)")
-    shard_cmd = sub.add_parser(
-        "shard", help="run the capacity workload across shard kernels "
-                      "with conservative-lookahead exchange "
-                      "(repro.sim.sharded)")
-    shard_cmd.add_argument("--shards", type=int, default=2,
-                           help="shard kernels to partition the hosts "
-                                "across (default 2)")
-    shard_cmd.add_argument("--machines", type=int, default=12,
-                           help="hosts in the world (default 12)")
-    shard_cmd.add_argument("--cells", type=int, default=4,
-                           help="machine cells, one echo troupe each "
-                                "(default 4; must divide --machines)")
-    shard_cmd.add_argument("--sessions", type=int, default=24,
-                           help="client sessions (default 24)")
-    shard_cmd.add_argument("--degree", type=int, default=3,
-                           help="troupe members per cell (default 3)")
-    shard_cmd.add_argument("--calls", type=int, default=3,
-                           help="calls per session (default 3)")
-    shard_cmd.add_argument("--rate", type=float, default=40.0,
-                           help="per-session offered calls/sec "
-                                "(default 40)")
-    shard_cmd.add_argument("--arrival", default="pareto",
-                           choices=["fixed", "poisson", "pareto"],
-                           help="interarrival process (default pareto)")
-    shard_cmd.add_argument("--horizon", type=float, default=3000.0,
-                           help="virtual-time horizon in ms "
-                                "(default 3000)")
-    shard_cmd.add_argument("--seed", type=int, default=7)
-    shard_cmd.add_argument("--mode", default="inproc",
-                           choices=["inproc", "process"],
-                           help="step shards in this process or fork one "
-                                "OS process per shard (default inproc)")
-    shard_cmd.add_argument("--reference", action="store_true",
-                           help="also run the single-process (1-shard) "
-                                "reference and fail unless the packet "
-                                "digests are byte-identical")
-    shard_cmd.add_argument("--json", action="store_true",
-                           help="emit the deterministic result fields as "
-                                "JSON (byte-identical across reruns of "
-                                "the same seed)")
     elastic_cmd = sub.add_parser(
         "elastic", help="run the autoscaled availability experiment "
                         "(repro.elastic) and compare measured vs M/M/n/n "
@@ -1103,8 +998,6 @@ def main(argv=None) -> int:
         return cmd_lincheck(args)
     elif args.command == "perf":
         return cmd_perf(args)
-    elif args.command == "shard":
-        return cmd_shard(args)
     elif args.command == "elastic":
         return cmd_elastic(args)
     elif args.command == "all":

@@ -43,7 +43,7 @@ class World:
         self.runtime_config = runtime_config or RuntimeConfig()
         if machine_names is None:
             machine_names = ["host%d" % i for i in range(machines)]
-        self.net = self._make_network(seed, net_config, machine_names)
+        self.net = Network(self.sim, seed=seed, config=net_config)
         self.machines: List[Machine] = [
             Machine(self.sim, self.net, name, cost_model=cost_model)
             for name in machine_names]
@@ -54,47 +54,18 @@ class World:
         #: per-endpoint counters (see :meth:`endpoint_stats`).
         self.runtimes: List[TroupeRuntime] = []
         self._next_host = 0
-        #: workload scratch space: generators accumulate completion counts
-        #: here so drivers (e.g. :func:`repro.sim.sharded.run_sharded`)
-        #: can sum them without threading result objects through builders.
-        self.counters: Dict[str, float] = {}
-        #: like :attr:`counters`, but for per-observation samples
-        #: (latencies); values are plain lists of floats.
-        self.samples: Dict[str, List[float]] = {}
         # Troupe IDs normally come from the process-global allocator
-        # (permanently unique).  A sharded run builds N replicas of the
-        # same world in one process and needs their troupe IDs to match
-        # replica-for-replica, so it pins a per-world base instead.
+        # (permanently unique).  A pinned per-world base makes them a
+        # function of the world alone, so two same-seed worlds built in
+        # one process agree on every troupe ID (and so on every wire
+        # byte that carries one).
         self._troupe_ids = (iter(range(troupe_id_base, 1 << 62))
                             if troupe_id_base is not None else None)
-
-    def _make_network(self, seed: int, net_config: Optional[NetworkConfig],
-                      machine_names: List[str]) -> Network:
-        """Build this world's wire; sharded worlds override this to route
-        cross-shard traffic through an outbox (:mod:`repro.sim.sharded`)."""
-        return Network(self.sim, seed=seed, config=net_config)
 
     def _new_troupe_id(self) -> TroupeId:
         if self._troupe_ids is not None:
             return next(self._troupe_ids)
         return new_troupe_id()
-
-    def owns(self, host: str) -> bool:
-        """Whether this world simulates ``host`` itself (always true for a
-        plain single-process world; sharded worlds own a subset)."""
-        return True
-
-    def spawn_on(self, machine_name: str, gen, name: Optional[str] = None):
-        """Spawn ``gen`` only when this world owns ``machine_name``.
-
-        Workload builders use this so the same builder code runs in every
-        shard of a sharded world: each session starts exactly once, on the
-        shard that owns its home machine.  Returns the process, or None
-        when the host belongs to another shard (the generator is closed)."""
-        if not self.owns(machine_name):
-            gen.close()
-            return None
-        return self.spawn(gen, name=name)
 
     # -- machines -----------------------------------------------------------
 

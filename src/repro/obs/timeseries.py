@@ -178,19 +178,6 @@ class _Sketch:
         bin_index = 0 if value <= 1.0 else int(math.ceil(math.log2(value)))
         self.bins[bin_index] = self.bins.get(bin_index, 0) + 1
 
-    def quantile(self, q: float) -> float:
-        """Upper-bound estimate of the ``q`` quantile (``q`` in [0, 1])
-        from the power-of-two bins — exact to within one octave."""
-        if not self.count:
-            return 0.0
-        rank = max(1, int(math.ceil(q * self.count)))
-        seen = 0
-        for bin_index in sorted(self.bins):
-            seen += self.bins[bin_index]
-            if seen >= rank:
-                return float(2 ** bin_index)
-        return self.max
-
     def to_dict(self) -> Dict[str, Any]:
         if not self.count:
             return {"count": 0}
@@ -216,19 +203,6 @@ class WindowedHistogram(_WindowedSeries):
 
     def _value_of(self, cell):
         return cell.to_dict()
-
-    def merged(self) -> _Sketch:
-        """One sketch over every retained bucket."""
-        out = _Sketch()
-        for cell in self.cells.values():
-            out.count += cell.count
-            out.sum += cell.sum
-            if cell.count:
-                out.min = min(out.min, cell.min)
-                out.max = max(out.max, cell.max)
-            for bin_index, n in cell.bins.items():
-                out.bins[bin_index] = out.bins.get(bin_index, 0) + n
-        return out
 
 
 class TimeSeriesRegistry:

@@ -506,31 +506,6 @@ class Simulator:
         self._live += 1
         return call
 
-    def schedule_at(self, time: float, fn: Callable,
-                    *args: Any) -> _ScheduledCall:
-        """Run ``fn(*args)`` at absolute virtual time ``time``.
-
-        ``schedule(t - now)`` re-derives the absolute time as
-        ``now + (t - now)``, which is not always bit-identical to ``t``
-        in floats; cross-shard envelope injection needs the *exact*
-        delivery timestamp the source shard computed, so this variant
-        pins it."""
-        if time < self.now:
-            raise ValueError("cannot schedule in the past (t=%r, now=%r)"
-                             % (time, self.now))
-        free = self._free
-        if free:
-            call = free.pop()
-            call.fn = fn
-            call.args = args
-            call.cancelled = False
-        else:
-            self.calls_allocated += 1
-            call = _ScheduledCall(fn, args, self)
-        heappush(self._queue, (time, next(self._seq), call))
-        self._live += 1
-        return call
-
     def _schedule_now(self, fn: Callable, *args: Any) -> _ScheduledCall:
         # schedule(0.0, ...) without the delay validation — the kernel's
         # own resume path, hot enough to skip one call frame.  Entries go
@@ -764,44 +739,6 @@ class Simulator:
     def pending_events(self) -> int:
         """Live (non-cancelled) entries in the event queue — O(1)."""
         return self._live
-
-    def next_event_time(self) -> Optional[float]:
-        """Timestamp of the earliest live pending event, or ``None`` when
-        the queue is drained.
-
-        The sharded driver (:mod:`repro.sim.sharded`) uses this to advance
-        a shard kernel up to — but not past — a conservative lookahead
-        bound.  Cancelled entries at the head are discarded here exactly
-        as run() would discard them (recycled to the freelist, ``_dead``
-        settled), so peeking never reports a tombstone's time."""
-        queue = self._queue
-        ready = self._ready
-        free = self._free
-        while True:
-            if ready:
-                if queue and queue[0] < ready[0]:
-                    entry = queue[0]
-                    from_heap = True
-                else:
-                    entry = ready[0]
-                    from_heap = False
-            elif queue:
-                entry = queue[0]
-                from_heap = True
-            else:
-                return None
-            call = entry[2]
-            if call.cancelled:
-                if from_heap:
-                    heapq.heappop(queue)
-                else:
-                    ready.popleft()
-                self._dead -= 1
-                if len(free) < _FREELIST_MAX:
-                    call.fn = call.args = None
-                    free.append(call)
-                continue
-            return entry[0]
 
     def live_processes(self) -> List[Process]:
         return [p for p in self._processes if p.alive]

@@ -6,7 +6,7 @@ from repro.core import ExportedModule
 from repro.harness import World
 from repro.net.addresses import ProcessAddress
 from repro.obs import (TimeSeriesCollector, TimeSeriesRegistry,
-                       WindowedCounter, WindowedGauge, WindowedHistogram)
+                       WindowedCounter, WindowedGauge)
 
 
 # -- series mechanics ------------------------------------------------------
@@ -61,28 +61,6 @@ def test_gauge_keeps_last_value_per_bucket():
     g.set(11.0, 9)
     assert g.points() == [(0.0, 3), (10.0, 9)]
     assert g.last() == 9
-
-
-def test_histogram_sketch_quantiles_and_merge():
-    h = WindowedHistogram(10.0, 16)
-    for value in (0.5, 2.0, 3.0, 7.0):
-        h.observe(0.0, value)
-    h.observe(12.0, 100.0)
-    merged = h.merged()
-    assert merged.count == 5
-    assert merged.min == 0.5
-    assert merged.max == 100.0
-    # Power-of-two bins: the p50 upper bound is one octave wide.
-    assert merged.quantile(0.5) in (2.0, 4.0)
-    assert merged.quantile(1.0) >= 100.0
-
-
-def test_empty_sketch_is_well_defined():
-    h = WindowedHistogram(10.0, 16)
-    merged = h.merged()
-    assert merged.count == 0
-    assert merged.quantile(0.5) == 0.0
-    assert merged.to_dict() == {"count": 0}
 
 
 # -- registry --------------------------------------------------------------
@@ -165,8 +143,9 @@ def test_collector_builds_per_troupe_series():
     assert started.total() == calls
     assert completed.total() == calls
     hist = reg.series("rpc.call_ms", troupe="echo")
-    assert hist.merged().count == calls
-    assert hist.merged().min > 1.0     # at least the 1 ms of compute
+    cells = list(hist.cells.values())
+    assert sum(cell.count for cell in cells) == calls
+    assert min(cell.min for cell in cells) > 1.0  # the 1 ms of compute
     # Calls are sequential, so every bucket saw at most one in flight
     # and the gauge is back to zero at the end.
     assert reg.series("rpc.open_calls").last() == 0
